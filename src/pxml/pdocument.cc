@@ -272,7 +272,9 @@ PDocument::exp_distribution(NodeId n) const {
 }
 
 double PDocument::ExpDpCost() const {
-  if (exp_cost_uid_ == uid_) return exp_cost_;
+  if (exp_cost_.uid.load(std::memory_order_acquire) == uid_) {
+    return exp_cost_.cost.load(std::memory_order_relaxed);
+  }
   // One descending-id sweep: children always follow their parents in the
   // arena, so by the time `n` is visited its whole live subtree is summed.
   std::vector<int64_t> sub(nodes_.size(), 0);
@@ -287,8 +289,8 @@ double PDocument::ExpDpCost() const {
               static_cast<double>(sub[n]);
     }
   }
-  exp_cost_uid_ = uid_;
-  exp_cost_ = cost;
+  exp_cost_.cost.store(cost, std::memory_order_relaxed);
+  exp_cost_.uid.store(uid_, std::memory_order_release);
   return cost;
 }
 

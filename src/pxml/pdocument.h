@@ -25,6 +25,7 @@
 #ifndef PXV_PXML_PDOCUMENT_H_
 #define PXV_PXML_PDOCUMENT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -292,9 +293,22 @@ class PDocument {
   void Stamp(NodeId n);
   static uint64_t NextUid();
 
+  // ExpDpCost's memo. Concurrent const readers may fill it, so the cost is
+  // published before the uid it is for; a copy starts empty (uid 0 never
+  // matches) rather than copy a pair that another reader may be writing.
+  struct ExpCostMemo {
+    std::atomic<uint64_t> uid{0};
+    std::atomic<double> cost{0};
+    ExpCostMemo() = default;
+    ExpCostMemo(const ExpCostMemo&) {}
+    ExpCostMemo& operator=(const ExpCostMemo&) {
+      uid.store(0, std::memory_order_relaxed);
+      return *this;
+    }
+  };
+
   std::vector<PNode> nodes_;
-  mutable uint64_t exp_cost_uid_ = 0;  // uid the cached ExpDpCost is for.
-  mutable double exp_cost_ = 0;
+  mutable ExpCostMemo exp_cost_;
   uint64_t uid_ = NextUid();
   uint64_t structure_version_ = uid_;
   int detached_count_ = 0;

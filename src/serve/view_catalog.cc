@@ -1,6 +1,7 @@
 #include "serve/view_catalog.h"
 
-#include <utility>
+#include <memory>
+#include <string>
 
 namespace pxv {
 
@@ -13,11 +14,11 @@ std::shared_ptr<const QueryPlan> ViewCatalog::PlanFor(const Pattern& q) {
   std::string key = std::to_string(rewriter_.Fingerprint());
   key += '\n';
   key += q.CanonicalString();
-  if (std::shared_ptr<const QueryPlan> plan = cache_.Lookup(key)) return plan;
-  // Compile outside the cache lock; a concurrent compile of the same query
-  // races benignly — Insert keeps the first plan and both callers use it.
-  auto plan = std::make_shared<const QueryPlan>(rewriter_.Compile(q));
-  return cache_.Insert(key, std::move(plan));
+  // Single-flight: the first caller compiles outside the cache lock, and
+  // concurrent callers for the same shape wait for that one compile.
+  return cache_.GetOrCompile(key, [&] {
+    return std::make_shared<const QueryPlan>(rewriter_.Compile(q));
+  });
 }
 
 }  // namespace pxv

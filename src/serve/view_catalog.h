@@ -63,7 +63,9 @@ class ViewCatalog {
 
   /// The compiled plan for q: plan-cache lookup keyed on (registry
   /// fingerprint, canonical query string), compiling (TPrewrite +
-  /// TPIrewrite) only on a miss. Thread-safe.
+  /// TPIrewrite) only on a miss. Thread-safe and single-flight: concurrent
+  /// first calls for one shape run one compile and share its plan, counting
+  /// one miss; the others count as hits (PlanCache::GetOrCompile).
   std::shared_ptr<const QueryPlan> PlanFor(const Pattern& q);
 
  private:

@@ -5,8 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <functional>
+#include <future>
 #include <map>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "gen/paper.h"
 #include "prob/query_eval.h"
@@ -309,6 +317,125 @@ TEST(PlanCacheTest, InsertKeepsFirstPlanOnRace) {
   auto p2 = std::make_shared<const QueryPlan>();
   EXPECT_EQ(cache.Insert("k", p1), p1);
   EXPECT_EQ(cache.Insert("k", p2), p1);  // Second compile loses, reuses p1.
+}
+
+// Runs `compile` as a GetOrCompile for `key` on its own thread and returns
+// once the compile has started; the compile then blocks until `open` fires.
+std::thread CompileBlockedOn(PlanCache* cache, const std::string& key,
+                             std::shared_future<void> open,
+                             std::function<std::shared_ptr<const QueryPlan>()>
+                                 compile,
+                             std::shared_ptr<const QueryPlan>* out) {
+  std::promise<void> started;
+  std::future<void> has_started = started.get_future();
+  std::thread t([cache, key, open, compile = std::move(compile), out,
+                 started = std::move(started)]() mutable {
+    try {
+      *out = cache->GetOrCompile(key, [&] {
+        started.set_value();
+        open.wait();
+        return compile();
+      });
+    } catch (const std::runtime_error&) {
+    }
+  });
+  has_started.wait();
+  return t;
+}
+
+TEST(PlanCacheTest, GetOrCompileIsSingleFlightPerKey) {
+  PlanCache cache(8);
+  std::promise<void> open;
+  std::shared_future<void> opened = open.get_future().share();
+  std::atomic<int> compiles_a{0};
+  std::shared_ptr<const QueryPlan> first;
+  std::thread compiler = CompileBlockedOn(
+      &cache, "a", opened,
+      [&] {
+        compiles_a.fetch_add(1);
+        return std::make_shared<const QueryPlan>();
+      },
+      &first);
+
+  // Another key never waits on a's compile.
+  auto b = std::async(std::launch::async, [&] {
+    return cache.GetOrCompile("b", [] {
+      return std::make_shared<const QueryPlan>();
+    });
+  });
+  const bool b_done =
+      b.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(b_done) << "GetOrCompile(b) blocked behind a's compile";
+
+  // A second caller for a waits for the compile in flight.
+  std::shared_ptr<const QueryPlan> second;
+  std::thread waiter([&] {
+    second = cache.GetOrCompile("a", [&] {
+      compiles_a.fetch_add(1);
+      return std::make_shared<const QueryPlan>();
+    });
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  open.set_value();
+  compiler.join();
+  waiter.join();
+  EXPECT_NE(b.get(), nullptr);
+
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(second.get(), first.get());
+  EXPECT_EQ(compiles_a.load(), 1);
+  EXPECT_EQ(cache.misses(), 2);  // a and b.
+  EXPECT_EQ(cache.hits(), 1);    // The waiter.
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(PlanCacheTest, GetOrCompileReleasesKeyWhenCompileThrows) {
+  PlanCache cache(8);
+  std::promise<void> open;
+  std::shared_future<void> opened = open.get_future().share();
+  std::shared_ptr<const QueryPlan> failed;
+  std::thread thrower = CompileBlockedOn(
+      &cache, "k", opened,
+      []() -> std::shared_ptr<const QueryPlan> {
+        throw std::runtime_error("compile failed");
+      },
+      &failed);
+  // The waiter wakes to find k neither cached nor in flight and compiles.
+  int waiter_compiles = 0;
+  std::shared_ptr<const QueryPlan> plan;
+  std::thread waiter([&] {
+    plan = cache.GetOrCompile("k", [&] {
+      ++waiter_compiles;
+      return std::make_shared<const QueryPlan>();
+    });
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  open.set_value();
+  thrower.join();
+  waiter.join();
+  EXPECT_EQ(failed, nullptr);
+  EXPECT_NE(plan, nullptr);
+  EXPECT_EQ(waiter_compiles, 1);
+  EXPECT_EQ(cache.misses(), 2);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(PlanCacheTest, CompilesInFlightDoNotCountTowardCapacity) {
+  PlanCache cache(/*capacity=*/1);
+  std::promise<void> open;
+  std::shared_future<void> opened = open.get_future().share();
+  std::shared_ptr<const QueryPlan> a;
+  std::thread compiler = CompileBlockedOn(
+      &cache, "a", opened, [] { return std::make_shared<const QueryPlan>(); },
+      &a);
+  cache.GetOrCompile("b", [] { return std::make_shared<const QueryPlan>(); });
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_NE(cache.Lookup("b"), nullptr);  // a's compile evicted nothing.
+  open.set_value();
+  compiler.join();
+  EXPECT_EQ(cache.size(), 1u);  // a's insert evicts b.
+  EXPECT_EQ(cache.Lookup("a").get(), a.get());
+  EXPECT_EQ(cache.Lookup("b"), nullptr);
 }
 
 }  // namespace

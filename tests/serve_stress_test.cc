@@ -112,6 +112,10 @@ TEST(ServeStressTest, ConcurrentPlanCompilationConverges) {
     EXPECT_EQ(plans[t].get(), plans[0].get()) << "thread " << t;
   }
   EXPECT_EQ(server.plan_cache().size(), 1u);
+  // Single-flight: one thread compiles, the other seven wait and hit.
+  const ViewServerStats stats = server.stats();
+  EXPECT_EQ(stats.plan_cache_misses, 1);
+  EXPECT_EQ(stats.plan_cache_hits, kThreads - 1);
 }
 
 TEST(ServeStressTest, ParallelMaterializeMatchesSerial) {
